@@ -1,5 +1,5 @@
 // Repository-level benchmarks: one per table and figure of the paper's
-// evaluation, plus the ablations DESIGN.md calls out. Each benchmark runs
+// evaluation, plus ablations of the design choices. Each benchmark runs
 // the corresponding experiment from internal/bench and reports the headline
 // simulated measurement as a custom metric, so `go test -bench=.` prints
 // the paper-shaped numbers. cmd/provbench renders the full tables.

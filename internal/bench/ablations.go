@@ -12,7 +12,7 @@ import (
 	"passcloud/internal/workload"
 )
 
-// Ablations for the design choices DESIGN.md calls out.
+// Ablations for the design choices behind the protocols and the fabric.
 
 // Table1 runs the property probes for every configuration — the empirical
 // regeneration of the paper's Table 1 (plus the persistence property).

@@ -2,8 +2,8 @@
 // evaluation (§5): the Table-1 property matrix, the Table-2 per-service
 // upload microbenchmark, the Table-3 data/operation overheads, the Table-4
 // costs, the Table-5 query performance, the Figure-3 protocol
-// microbenchmark and the Figure-4 workload benchmarks — plus the ablations
-// DESIGN.md calls out.
+// microbenchmark and the Figure-4 workload benchmarks — plus ablations of
+// the design choices behind them (ablations.go).
 //
 // Workload experiments run the simulation live (virtual time = wall time ×
 // scale) so protocol concurrency, gate contention and daemon interference

@@ -3,7 +3,7 @@ package sdb
 import "sort"
 
 // Secondary indexes. Real SimpleDB indexes every attribute on write (which
-// is why its writes are expensive — see DESIGN.md §6); the simulation keeps
+// is why its writes are expensive); the simulation keeps
 // the same invariant so SELECT can resolve equality, IN, prefix and range
 // predicates through an index instead of scanning the whole domain.
 //

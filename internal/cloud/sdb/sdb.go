@@ -5,9 +5,9 @@
 //
 // The limits that shaped the paper's protocols are enforced: attribute names
 // and values are capped at 1 KB (larger provenance values spill to S3
-// objects), BatchPutAttributes accepts at most 25 items per call, and SELECT
-// responses are paginated. Reads are eventually consistent unless the
-// environment runs in strict mode.
+// objects), BatchPutAttributes and BatchDeleteAttributes accept at most 25
+// items per call, and SELECT responses are paginated. Reads are eventually
+// consistent unless the environment runs in strict mode.
 //
 // Like the real service, every attribute is indexed on write: SELECT
 // resolves equality, IN, prefix and range predicates through per-attribute
@@ -31,7 +31,7 @@ import (
 // Limits mirrored from the real service.
 const (
 	MaxValueLen   = 1024 // bytes per attribute name or value
-	MaxBatchItems = 25   // items per BatchPutAttributes call
+	MaxBatchItems = 25   // items per BatchPut/BatchDeleteAttributes call
 	MaxSelectPage = 2500 // items per SELECT page
 	maxPageBytes  = 1 << 20
 )
@@ -235,7 +235,7 @@ func (d *Domain) putOnce(req PutRequest) error {
 
 // BatchPutAttributes writes up to 25 items in one call. The call is charged
 // the batch base latency plus a per-item increment (SimpleDB indexes every
-// attribute on write, which is why batches are expensive; see DESIGN.md §6).
+// attribute on write, which is why batches are expensive).
 func (d *Domain) BatchPutAttributes(reqs []PutRequest) error {
 	if len(reqs) > MaxBatchItems {
 		return ErrBatchTooLarge
@@ -386,19 +386,56 @@ func (d *Domain) deleteOnce(item string) error {
 	d.count("sdb.DeleteAttributes", 0)
 	now := d.env.Now()
 	d.mu.Lock()
-	if len(d.items[item]) > 0 {
-		d.gen++
-		hist := d.items[item]
-		if n := len(hist); n > 1 {
-			for _, old := range hist[:n-1] {
-				d.indexRemoveLocked(item, old.attrs)
-			}
-			hist = hist[n-1:]
-		}
-		d.items[item] = append(hist, &itemVersion{deleted: true, committed: now, visibleAt: now + d.env.StalenessWindow()})
+	d.deleteLocked(item, now)
+	d.mu.Unlock()
+	return ferr
+}
+
+// BatchDeleteAttributes removes up to 25 whole items in one call, charged on
+// the BatchPutAttributes curve (see sim.Model). Absent names are no-ops.
+func (d *Domain) BatchDeleteAttributes(items []string) error {
+	if len(items) > MaxBatchItems {
+		return ErrBatchTooLarge
+	}
+	return d.retry(func() error { return d.batchDeleteOnce(items) })
+}
+
+// batchDeleteOnce is one service attempt of a batch delete (see putOnce for
+// the ambiguous-fault contract; deletes converge just as replaces do).
+func (d *Domain) batchDeleteOnce(items []string) error {
+	ferr, applied := d.faulted(sim.OpSDBBatchDelete, "sdb.BatchDeleteAttributes", true)
+	if ferr != nil && !applied {
+		return ferr
+	}
+	d.env.ExecLane(sim.OpSDBBatchDelete, 0, d.lane)
+	if extra := d.env.Model().BatchItemLatency(len(items)); extra > 0 {
+		d.env.Clock().Sleep(extra)
+	}
+	d.count("sdb.BatchDeleteAttributes", 0)
+	now := d.env.Now()
+	d.mu.Lock()
+	for _, item := range items {
+		d.deleteLocked(item, now)
 	}
 	d.mu.Unlock()
 	return ferr
+}
+
+// deleteLocked commits a tombstone version of item at now; absent items are
+// left alone.
+func (d *Domain) deleteLocked(item string, now time.Duration) {
+	hist := d.items[item]
+	if len(hist) == 0 {
+		return
+	}
+	d.gen++
+	if n := len(hist); n > 1 {
+		for _, old := range hist[:n-1] {
+			d.indexRemoveLocked(item, old.attrs)
+		}
+		hist = hist[n-1:]
+	}
+	d.items[item] = append(hist, &itemVersion{deleted: true, committed: now, visibleAt: now + d.env.StalenessWindow()})
 }
 
 // SelectPage is one page of SELECT results.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"passcloud/internal/resilient"
 	"passcloud/internal/sim"
 )
 
@@ -301,5 +302,149 @@ func TestSelectObservesEventualConsistency(t *testing.T) {
 	items, _, _, err := d.SelectAll("select * from prov")
 	if err != nil || len(items) != 1 {
 		t.Fatalf("settled select: %v err=%v", items, err)
+	}
+}
+
+// fillDomain writes n single-attribute items named i00..i(n-1) in batches.
+func fillDomain(t *testing.T, d *Domain, n int) []string {
+	t.Helper()
+	names := make([]string, n)
+	reqs := make([]PutRequest, n)
+	for i := range reqs {
+		names[i] = fmt.Sprintf("i%02d", i)
+		reqs[i] = PutRequest{Item: names[i], Attrs: []Attr{{Name: "a", Value: "v"}}}
+	}
+	for start := 0; start < n; start += MaxBatchItems {
+		end := min(start+MaxBatchItems, n)
+		if err := d.BatchPutAttributes(reqs[start:end]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return names
+}
+
+func TestBatchDeleteLimit(t *testing.T) {
+	d := strictDomain(t)
+	names := fillDomain(t, d, MaxBatchItems+1)
+	before := d.Env().Meter().Usage()
+	if err := d.BatchDeleteAttributes(names); !errors.Is(err, ErrBatchTooLarge) {
+		t.Fatalf("err = %v, want ErrBatchTooLarge", err)
+	}
+	after := d.Env().Meter().Usage()
+	if after.TotalOps != before.TotalOps || after.Requests[sim.CostSDB] != before.Requests[sim.CostSDB] {
+		t.Fatalf("rejected batch billed %d ops", after.TotalOps-before.TotalOps)
+	}
+	if n := d.ItemCount(); n != MaxBatchItems+1 {
+		t.Fatalf("item count = %d after a rejected batch", n)
+	}
+}
+
+// TestBatchDeleteOneRequest pins a full batch delete to one billed request on
+// the BatchPut latency curve, with the items gone from consistent reads.
+func TestBatchDeleteOneRequest(t *testing.T) {
+	d := strictDomain(t)
+	names := fillDomain(t, d, MaxBatchItems+3)
+	env := d.Env()
+	env.Clock().Advance(time.Minute) // let the write gate idle
+	before := env.Meter().Usage()
+	t0 := env.Now()
+	if err := d.BatchDeleteAttributes(names[:MaxBatchItems]); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := env.Now() - t0
+	after := env.Meter().Usage()
+	if got := after.Requests[sim.CostSDB] - before.Requests[sim.CostSDB]; got != 1 {
+		t.Fatalf("billed requests = %d, want 1", got)
+	}
+	if got := after.OpsByKind["sdb.BatchDeleteAttributes"] - before.OpsByKind["sdb.BatchDeleteAttributes"]; got != 1 {
+		t.Fatalf("sdb.BatchDeleteAttributes ops = %d, want 1", got)
+	}
+	if after.OpsByKind["sdb.DeleteAttributes"] != 0 || after.BytesIn != before.BytesIn {
+		t.Fatalf("batch delete charged single deletes (%d) or transfer (%d B)",
+			after.OpsByKind["sdb.DeleteAttributes"], after.BytesIn-before.BytesIn)
+	}
+	m := env.Model()
+	base, items := m.SDBBatchBase, m.BatchItemLatency(MaxBatchItems)
+	lo, hi := base*96/100+items, base*104/100+items
+	if elapsed < lo || elapsed > hi {
+		t.Fatalf("elapsed %v, want BatchPut curve %v..%v", elapsed, lo, hi)
+	}
+	if n := d.ItemCount(); n != 3 {
+		t.Fatalf("item count = %d, want 3", n)
+	}
+	got, _, _, err := d.SelectAllQuery(Query{Domain: d.Name(), Consistent: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[0].Name != names[MaxBatchItems] {
+		t.Fatalf("consistent select after delete = %d items (%v)", len(got), got)
+	}
+	if _, err := d.GetAttributes(names[0]); !errors.Is(err, ErrNoSuchItem) {
+		t.Fatalf("get after batch delete: %v", err)
+	}
+}
+
+func TestBatchDeleteAbsentNamesNoOp(t *testing.T) {
+	d := strictDomain(t)
+	names := fillDomain(t, d, 2)
+	if err := d.BatchDeleteAttributes([]string{"nope", names[0], "gone"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := d.ItemCount(); n != 1 {
+		t.Fatalf("item count = %d, want 1", n)
+	}
+	if _, err := d.GetAttributes(names[1]); err != nil {
+		t.Fatalf("surviving item: %v", err)
+	}
+	// A batch of nothing but absent names still succeeds and bills one call.
+	before := d.Env().Meter().Usage().OpsByKind["sdb.BatchDeleteAttributes"]
+	if err := d.BatchDeleteAttributes([]string{"nope", names[0]}); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Env().Meter().Usage().OpsByKind["sdb.BatchDeleteAttributes"] - before; got != 1 {
+		t.Fatalf("ops = %d, want 1", got)
+	}
+	if n := d.ItemCount(); n != 1 {
+		t.Fatalf("item count = %d after no-op batch, want 1", n)
+	}
+}
+
+// TestBatchDeleteAmbiguousFaultRetries applies a batch under an ambiguous
+// (applied but reported failed) fault: the resilient client retries the
+// already-applied batch, and the retry converges to nil.
+func TestBatchDeleteAmbiguousFaultRetries(t *testing.T) {
+	d := strictDomain(t)
+	names := fillDomain(t, d, MaxBatchItems)
+	env := d.Env()
+	d.SetResilience(resilient.New(env, resilient.Policy{}))
+	// Only the first attempt lands inside the fault window.
+	env.InstallFaults(sim.FaultPlan{d.Name(): {
+		Prob: 1, ApplyProb: 1, Ops: []string{"sdb.BatchDeleteAttributes"},
+		Until: env.Now() + time.Millisecond,
+	}})
+	if err := d.BatchDeleteAttributes(names); err != nil {
+		t.Fatalf("batch delete under an ambiguous fault: %v", err)
+	}
+	u := env.Meter().Usage()
+	if u.Faults != 1 || u.OpsByKind["sdb.BatchDeleteAttributes"] != 2 {
+		t.Fatalf("faults = %d, batch deletes = %d, want 1 fault and 1 retry",
+			u.Faults, u.OpsByKind["sdb.BatchDeleteAttributes"])
+	}
+	if n := d.ItemCount(); n != 0 {
+		t.Fatalf("item count = %d, want 0", n)
+	}
+
+	// Without retries the same fault surfaces, yet the batch was applied.
+	names = fillDomain(t, d, 3)
+	d.SetResilience(resilient.New(env, resilient.Policy{MaxAttempts: 1}))
+	env.InstallFaults(sim.FaultPlan{d.Name(): {
+		Prob: 1, ApplyProb: 1, Ops: []string{"sdb.BatchDeleteAttributes"},
+		Until: env.Now() + time.Millisecond,
+	}})
+	if err := d.BatchDeleteAttributes(names); !sim.IsTransient(err) {
+		t.Fatalf("single attempt err = %v, want the transient fault", err)
+	}
+	if n := d.ItemCount(); n != 0 {
+		t.Fatalf("item count = %d after an applied fault, want 0", n)
 	}
 }

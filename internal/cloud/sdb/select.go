@@ -147,12 +147,6 @@ func (n *Node) eval(it Item) bool {
 	return false
 }
 
-// Matches reports whether the predicate accepts the item — the exported form
-// of eval, for callers that hold items outside a domain (the query layer's
-// filter pushdown evaluates a lowered predicate against narrowed responses)
-// and for equivalence tests.
-func (n *Node) Matches(it Item) bool { return n.eval(it) }
-
 // Attrs returns the distinct attribute names the predicate reads, in
 // first-reference order. ItemNameKey appears when the predicate compares
 // item names. Callers use it to narrow a SELECT's field list to exactly what

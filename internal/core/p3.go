@@ -731,11 +731,26 @@ func (p *P3) commitGroup(group []*txnState) error {
 
 	// 3. COPY each temporary object to its permanent key, setting the
 	// linking metadata as part of the COPY (atomic data+metadata update);
-	// copies of distinct transactions run in parallel.
-	tasks := make([]func() error, len(work))
-	for i, w := range work {
-		w := w
-		tasks[i] = func() error {
+	// copies of distinct data objects run in parallel. When the group holds
+	// several versions of one object only the newest is copied: parallel
+	// copies of the same key would land in arbitrary order. An older version
+	// counts as copied once its superseder has. Versions of one object
+	// committed by different groups are not ordered here.
+	newest := make(map[string]*txnWork, len(work))
+	for _, w := range work {
+		if w.hdr.TmpKey == "" {
+			continue
+		}
+		if cur := newest[w.hdr.FinalKey]; cur == nil || w.hdr.Ref.Version > cur.hdr.Ref.Version {
+			newest[w.hdr.FinalKey] = w
+		}
+	}
+	var tasks []func() error
+	for _, w := range work {
+		if w.hdr.TmpKey != "" && newest[w.hdr.FinalKey] != w {
+			continue
+		}
+		tasks = append(tasks, func() error {
 			if w.hdr.TmpKey != "" {
 				meta := store.Metadata{
 					MetaUUID:    w.hdr.Ref.UUID.String(),
@@ -756,10 +771,15 @@ func (p *P3) commitGroup(group []*txnState) error {
 			}
 			w.copied = true
 			return nil
-		}
+		})
 	}
 	if err := par.Run(p.opts.DataConns, tasks); err != nil {
 		errs = append(errs, err)
+	}
+	for _, w := range work {
+		if w.hdr.TmpKey != "" {
+			w.copied = newest[w.hdr.FinalKey].copied
+		}
 	}
 
 	if p.takeCrash(CrashAfterCopy) {

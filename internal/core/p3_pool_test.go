@@ -202,3 +202,53 @@ func TestP3HalfAcknowledgedRedelivery(t *testing.T) {
 		t.Fatalf("%d transactions pending after redelivery", n)
 	}
 }
+
+// TestP3GroupCopiesNewestVersion commits several versions of one file as
+// separate transactions that the daemon commits as one group: only the
+// newest version is copied to the data object, every older temporary is
+// still cleaned up, and every transaction counts as committed.
+func TestP3GroupCopiesNewestVersion(t *testing.T) {
+	const versions = 6
+	dep := newDep(t, sim.Strict)
+	p := NewP3(dep, Options{CommitWorkers: 1})
+	rnd := sim.NewRand(41)
+	fileUUID := [16]byte(newRefUUID(rnd))
+	const path = "mnt/pool/rewritten"
+	var last prov.Ref
+	for v := 1; v <= versions; v++ {
+		ref := prov.Ref{UUID: fileUUID, Version: v}
+		recs := []prov.Record{
+			{Attr: prov.AttrType, Value: "file"},
+			{Attr: prov.AttrName, Value: path},
+		}
+		if v > 1 {
+			recs = append(recs, prov.Record{Attr: prov.AttrPrevVer, Xref: last})
+		}
+		b := []prov.Bundle{{Ref: ref, Type: prov.File, Name: path, Records: recs}}
+		if err := p.Commit(FileObject{Path: path, Size: 1024, Ref: ref}, b); err != nil {
+			t.Fatal(err)
+		}
+		last = ref
+	}
+	copies := dep.Env.Meter().Usage().OpsByKind["s3.COPY"]
+	if err := p.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	dep.Settle()
+	if got := dep.Env.Meter().Usage().OpsByKind["s3.COPY"] - copies; got != 1 {
+		t.Fatalf("s3.COPY = %d for %d versions in one group, want 1", got, versions)
+	}
+	o, err := p.Fetch(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref, err := linkedRef(o.Metadata); err != nil || ref != last {
+		t.Fatalf("data object links %v (err=%v), want newest %v", ref, err, last)
+	}
+	if keys, _, _ := dep.Store.ListAll(TmpPrefix); len(keys) != 0 {
+		t.Fatalf("superseded temporaries left behind: %v", keys)
+	}
+	if n := dep.WAL.Len(); n != 0 || p.PendingTxns() != 0 {
+		t.Fatalf("WAL holds %d messages, %d txns pending after settle", n, p.PendingTxns())
+	}
+}

@@ -497,45 +497,12 @@ func (d *Deployment) finishReshardGC(ctx context.Context, target Topology) (gcIt
 	d.DB.DrainPriorWrites()
 	d.DB.DrainPriorReads()
 	activeEpoch := d.DB.Directory().Active()
-	// Shard scans are independent; run them in parallel so the stale-copy
+	// Shard GCs are independent; run them in parallel so the stale-copy
 	// window (double-counted ItemCount, extra storage) closes in
-	// max(shard scan) rather than their sum.
+	// max(shard GC) rather than their sum.
 	var gcCount atomic.Int64
 	shardErr := par.ForEach(reshardConns, d.DB.Shards(), func(s int) error {
-		dom := d.DB.Shard(s)
-		q := sdb.Query{Domain: dom.Name(), ItemOnly: true, Consistent: true, Limit: reshardCopyPage}
-		token := ""
-		for {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			page, err := dom.SelectQuery(q, token)
-			if err != nil {
-				return err
-			}
-			var stale []string
-			for _, it := range page.Items {
-				if activeEpoch.Route(sdb.RouteKey(it.Name)) != s {
-					stale = append(stale, it.Name)
-				}
-			}
-			tasks := make([]func() error, len(stale))
-			for i, name := range stale {
-				name := name
-				tasks[i] = func() error { return dom.DeleteAttributes(name) }
-			}
-			if err := par.Run(reshardConns, tasks); err != nil {
-				return err
-			}
-			gcCount.Add(int64(len(stale)))
-			if page.NextToken == "" {
-				return nil
-			}
-			// Deleting behind the cursor does not disturb the name-ordered
-			// continuation: the token names the last emitted item, and the
-			// scan resumes strictly after it.
-			token = page.NextToken
-		}
+		return d.gcShard(ctx, s, activeEpoch, &gcCount)
 	})
 	gcItems = int(gcCount.Load())
 	if shardErr != nil {
@@ -563,6 +530,48 @@ func (d *Deployment) finishReshardGC(ctx context.Context, target Topology) (gcIt
 		return gcItems, walMoved, err
 	}
 	return gcItems, walMoved, nil
+}
+
+// gcShard deletes the stale copies on one shard: a consistent name-only scan
+// collects every item the active epoch routes elsewhere, then the names
+// flush as full BatchDeleteAttributes calls. The scan never waits on a
+// delete, and none can be missed behind it: once the cutover's write
+// barrier has drained, writers route by the active epoch alone, so no new
+// stale copy can appear on this shard. Only batches that succeeded count.
+func (d *Deployment) gcShard(ctx context.Context, s int, active sim.DirEpoch, gcCount *atomic.Int64) error {
+	dom := d.DB.Shard(s)
+	q := sdb.Query{Domain: dom.Name(), ItemOnly: true, Consistent: true, Limit: reshardCopyPage}
+	var stale []string
+	for token := ""; ; {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		page, err := dom.SelectQuery(q, token)
+		if err != nil {
+			return err
+		}
+		for _, it := range page.Items {
+			if active.Route(sdb.RouteKey(it.Name)) != s {
+				stale = append(stale, it.Name)
+			}
+		}
+		if page.NextToken == "" {
+			break
+		}
+		token = page.NextToken
+	}
+	var tasks []func() error
+	for start := 0; start < len(stale); start += sdb.MaxBatchItems {
+		batch := stale[start:min(start+sdb.MaxBatchItems, len(stale))]
+		tasks = append(tasks, func() error {
+			if err := dom.BatchDeleteAttributes(batch); err != nil {
+				return err
+			}
+			gcCount.Add(int64(len(batch)))
+			return nil
+		})
+	}
+	return par.Run(reshardConns, tasks)
 }
 
 // migrateQueue drains one decommissioned WAL queue, re-sending every packet

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
 	"passcloud/internal/uuid"
@@ -99,6 +100,65 @@ func TestReshardGrowCleanRun(t *testing.T) {
 		if dep.DB.Shard(s).ItemCount() == 0 {
 			t.Errorf("domain shard %d empty after 1->4 reshard", s)
 		}
+	}
+}
+
+// TestReshardGCBatchesDeletes pins the GC's request shape on a K=1->4 grow:
+// no single-item deletes, one BatchDeleteAttributes per 25 stale names on
+// each source shard, and every stale copy counted and gone.
+func TestReshardGCBatchesDeletes(t *testing.T) {
+	const txns, perTxn = 40, 5
+	dep, _, uuids := reshardWorkload(t, 1, txns, perTxn)
+	before := provDigest(t, dep, uuids)
+	names := make([][]string, dep.DB.Shards())
+	for s := range names {
+		dom := dep.DB.Shard(s)
+		items, _, _, err := dom.SelectAllQuery(sdb.Query{Domain: dom.Name(), ItemOnly: true, Consistent: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range items {
+			names[s] = append(names[s], it.Name)
+		}
+	}
+	ops := dep.Env.Meter().Usage().OpsByKind
+
+	stats, err := dep.Reshard(context.Background(), Topology{WALShards: 4, DBShards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := dep.DB.Directory().Active()
+	stale, batches := 0, int64(0)
+	for s, shardNames := range names {
+		n := 0
+		for _, name := range shardNames {
+			if active.Route(sdb.RouteKey(name)) != s {
+				n++
+			}
+		}
+		stale += n
+		batches += int64((n + sdb.MaxBatchItems - 1) / sdb.MaxBatchItems)
+	}
+	if stale <= sdb.MaxBatchItems {
+		t.Fatalf("only %d stale copies: the grow needs several batches to test", stale)
+	}
+	after := dep.Env.Meter().Usage().OpsByKind
+	if got := after["sdb.DeleteAttributes"] - ops["sdb.DeleteAttributes"]; got != 0 {
+		t.Errorf("GC issued %d single-item deletes, want 0", got)
+	}
+	if got := after["sdb.BatchDeleteAttributes"] - ops["sdb.BatchDeleteAttributes"]; got != batches {
+		t.Errorf("GC issued %d batch deletes, want %d for %d stale copies", got, batches, stale)
+	}
+	if stats.GCItems != stale {
+		t.Errorf("GCItems = %d, want %d stale copies", stats.GCItems, stale)
+	}
+	mis, dup, err := AuditFabric(dep)
+	if err != nil || mis != 0 || dup != 0 {
+		t.Fatalf("audit: misplaced=%d duplicates=%d err=%v", mis, dup, err)
+	}
+	dep.Settle()
+	if got := provDigest(t, dep, uuids); got != before {
+		t.Error("ReadProvenance digest changed across the reshard")
 	}
 }
 

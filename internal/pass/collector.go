@@ -430,18 +430,6 @@ func (c *Collector) dirtyVersions(u uuid.UUID) []prov.Ref {
 	return kept
 }
 
-// PendingAll returns every unrecorded bundle in the graph, ancestors first.
-// The microbenchmark replayer uses it to upload a captured provenance set.
-func (c *Collector) PendingAll() []prov.Bundle {
-	var roots []prov.Ref
-	for _, n := range c.graph.Nodes() {
-		if !c.recorded[n.Ref] {
-			roots = append(roots, n.Ref)
-		}
-	}
-	return c.closure(roots)
-}
-
 // FullClosureFor returns every version of path's object plus its complete
 // ancestor closure — recorded or not — in the canonical ancestors-first
 // order (root versions oldest first, parents visited in ref-string order).

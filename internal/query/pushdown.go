@@ -15,7 +15,7 @@ import (
 // lowerFilter splits f into a server predicate and a client residue such
 // that, for every bundle decoded from a stored provenance item,
 //
-//	f.Match(bundle) == pushed.Matches(item) && residue.Match(bundle)
+//	f.Match(bundle) == (SELECT with pushed returns item) && residue.Match(bundle)
 //
 // Either half may be nil (match-everything). The split leans on the item
 // schema invariants: every item carries exactly one type attribute and at

@@ -544,16 +544,6 @@ func (l *Log) ConsistencyProof(m, n int) ([]merkle.Digest, error) {
 	return p, nil
 }
 
-// RootAt recomputes the tree hash over the first n leaves.
-func (l *Log) RootAt(n int) (merkle.Digest, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n < 0 || n > len(l.hashes) {
-		return merkle.Digest{}, fmt.Errorf("translog: size %d outside log of %d", n, len(l.hashes))
-	}
-	return merkle.LogRoot(l.hashes[:n]), nil
-}
-
 // TamperDropLeaf is the negative-control hook: it excises the leaf for txn
 // — what a malicious log server hiding a commit would do — reindexes the
 // tail, and resets the durability cursors so the next Checkpoint rewrites

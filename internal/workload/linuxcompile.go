@@ -128,15 +128,3 @@ func CompileProvenance(rnd *sim.Rand, targetBytes int) []prov.Bundle {
 	}
 	return out
 }
-
-// UnitsOf reports how many compilation units (source/gcc/object triples) a
-// compile stream holds; the Table-2 S3 upload groups provenance per unit.
-func UnitsOf(bundles []prov.Bundle) int {
-	n := 0
-	for _, b := range bundles {
-		if b.Type == prov.Process {
-			n++
-		}
-	}
-	return n
-}

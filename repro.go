@@ -46,8 +46,7 @@
 // examples/sharded-fabric demos the knobs and BenchmarkShardedWrite records
 // the K∈{1,2,4} comparison in BENCH_sharded_write.json.
 //
-// The root package only anchors repository-level benchmarks (bench_test.go);
-// see README.md and DESIGN.md for the system map.
+// The root package only anchors repository-level benchmarks (bench_test.go).
 package passcloud
 
 // Version identifies this reproduction build.

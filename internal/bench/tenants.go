@@ -50,20 +50,20 @@ var (
 // TenantIsolationConfig parameterizes one tenant-isolation run.
 type TenantIsolationConfig struct {
 	Seed          int64
-	Txns          int     // compliant tenant's transactions
-	BundlesPerTxn int     // provenance bundles (items) per transaction
-	Workers       int     // P3 commit-daemon pool size
-	ClientConns   int     // compliant tenant's concurrent committers
-	OfferedRate   float64 // compliant open-loop arrival rate, commits/sim-sec
-	Scale         float64 // live-mode time scale; 0 uses TenantIsolationScale
-	K             int     // WAL and DB shards
-	FaultProb     float64 // per-request fault probability
-	ApplyProb     float64 // fraction of mutating faults that are ambiguous
-	DupProb       float64 // queue duplicate-delivery probability
-	Abuser        bool    // run the abusive co-tenant storm
-	AbuserConns   int     // storm concurrency
-	AbuserTxns    int     // size of the fixed transaction set the storm replays
-	Isolation     bool    // false = negative control (front door bypassed)
+	Txns          int           // compliant tenant's transactions
+	BundlesPerTxn int           // provenance bundles (items) per transaction
+	Workers       int           // P3 commit-daemon pool size
+	ClientConns   int           // compliant tenant's concurrent committers
+	OfferedRate   float64       // compliant open-loop arrival rate, commits/sim-sec
+	Scale         float64       // live-mode time scale; 0 uses TenantIsolationScale
+	K             int           // WAL and DB shards
+	FaultProb     float64       // per-request fault probability
+	ApplyProb     float64       // fraction of mutating faults that are ambiguous
+	DupProb       float64       // queue duplicate-delivery probability
+	Abuser        bool          // run the abusive co-tenant storm
+	AbuserConns   int           // storm concurrency
+	AbuserTxns    int           // size of the fixed transaction set the storm replays
+	Isolation     bool          // false = negative control (front door bypassed)
 	CombineWindow time.Duration // front-door combine window; 0 = door default
 }
 

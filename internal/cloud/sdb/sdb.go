@@ -99,6 +99,7 @@ type Domain struct {
 	forceScan bool                  // ablation: disable the indexes
 	gen       uint64                // write generation; invalidates cached plans
 	lastPlan  planCache             // resolved candidates of the latest query
+	settledAt time.Duration         // largest visibleAt of any applied version
 
 	pmu   sync.Mutex
 	plans map[string]*Query // parsed-query cache keyed by expression
@@ -298,6 +299,7 @@ func (d *Domain) applyLocked(req PutRequest) {
 	}
 	next = append(next, req.Attrs...)
 	v := &itemVersion{attrs: next, committed: now, visibleAt: now + d.env.StalenessWindow()}
+	d.settledAt = max(d.settledAt, v.visibleAt)
 	if n := len(hist); n > 1 {
 		for _, old := range hist[:n-1] {
 			d.indexRemoveLocked(req.Item, old.attrs)
@@ -435,7 +437,9 @@ func (d *Domain) deleteLocked(item string, now time.Duration) {
 		}
 		hist = hist[n-1:]
 	}
-	d.items[item] = append(hist, &itemVersion{deleted: true, committed: now, visibleAt: now + d.env.StalenessWindow()})
+	v := &itemVersion{deleted: true, committed: now, visibleAt: now + d.env.StalenessWindow()}
+	d.settledAt = max(d.settledAt, v.visibleAt)
+	d.items[item] = append(hist, v)
 }
 
 // SelectPage is one page of SELECT results.
@@ -629,6 +633,16 @@ func (d *Domain) selectAll(q *Query) (items []Item, requests int, bytes int, err
 		}
 		token = page.NextToken
 	}
+}
+
+// SettledAt returns the virtual time by which every version this domain has
+// applied so far is visible to eventually consistent reads: the largest
+// visibleAt of any put or delete. Writes applied later can only raise it.
+// Under strict consistency it never exceeds the time of the latest write.
+func (d *Domain) SettledAt() time.Duration {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.settledAt
 }
 
 // ItemCount returns the number of live items (latest committed state).

@@ -448,3 +448,65 @@ func TestBatchDeleteAmbiguousFaultRetries(t *testing.T) {
 		t.Fatalf("item count = %d after an applied fault, want 0", n)
 	}
 }
+
+// TestSettledAtCoversEveryWrite pins the visibility horizon a live reshard
+// waits on before cutover: after puts, batch puts and batch deletes,
+// SettledAt is at or past every applied version's visibleAt, so an
+// eventually consistent read at SettledAt observes every write; under
+// strict consistency it never runs ahead of the clock.
+func TestSettledAtCoversEveryWrite(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Consistency = sim.Eventual
+	cfg.StalenessMean = time.Minute // windows far longer than a request
+	d := New(sim.NewEnv(cfg), "prov")
+	covered := func(step string) {
+		t.Helper()
+		settled := d.SettledAt()
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		for name, hist := range d.items {
+			for _, v := range hist {
+				if v.visibleAt > settled {
+					t.Fatalf("%s: %s visible at %v, past SettledAt %v", step, name, v.visibleAt, settled)
+				}
+			}
+		}
+	}
+	if err := d.PutAttributes(PutRequest{Item: "solo", Attrs: []Attr{{Name: "a", Value: "v"}}}); err != nil {
+		t.Fatal(err)
+	}
+	covered("PutAttributes")
+	names := fillDomain(t, d, 200)
+	covered("BatchPutAttributes")
+	d.Env().Clock().SleepUntil(d.SettledAt())
+	for _, name := range names {
+		if _, err := d.GetAttributes(name); err != nil {
+			t.Fatalf("read of %s at SettledAt: %v", name, err)
+		}
+	}
+
+	// Tombstones written after the puts settled must raise the horizon.
+	deleted := names[:MaxBatchItems]
+	if err := d.BatchDeleteAttributes(deleted); err != nil {
+		t.Fatal(err)
+	}
+	covered("BatchDeleteAttributes")
+	d.Env().Clock().SleepUntil(d.SettledAt())
+	for _, name := range deleted {
+		if _, err := d.GetAttributes(name); !errors.Is(err, ErrNoSuchItem) {
+			t.Fatalf("read of deleted %s at SettledAt: err = %v", name, err)
+		}
+	}
+
+	s := strictDomain(t)
+	names = fillDomain(t, s, 60)
+	if err := s.PutAttributes(PutRequest{Item: "solo", Attrs: []Attr{{Name: "a", Value: "v"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BatchDeleteAttributes(names[:10]); err != nil {
+		t.Fatal(err)
+	}
+	if got, now := s.SettledAt(), s.Env().Now(); got > now {
+		t.Fatalf("strict SettledAt %v is past Now %v", got, now)
+	}
+}

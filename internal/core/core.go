@@ -228,11 +228,11 @@ func (d *Deployment) SetResilience(c *resilient.Client) {
 	d.WAL.SetResilience(c)
 }
 
-// Settle advances a manual clock far enough that every staleness window has
-// passed; tests use it between writes and assertions. It is a no-op in live
-// mode.
+// Settle advances a manual clock far enough that every staleness window of
+// the env's configured mean has passed; tests use it between writes and
+// assertions. It is a no-op in live mode.
 func (d *Deployment) Settle() {
-	d.Env.Clock().Advance(sim.DefaultStalenessMean * 20)
+	d.Env.Clock().Advance(d.Env.Config().StalenessMean * 20)
 }
 
 // Options tunes a protocol's client behaviour.

@@ -708,3 +708,33 @@ func uuidNew(dep *Deployment) [16]byte {
 	u[8] = (u[8] & 0x3f) | 0x80
 	return u
 }
+
+// TestSettleHonorsStalenessMean pins Settle to the env's configured
+// staleness: with a 1 h mean, every item and object written before Settle
+// is visible to eventually consistent reads after it.
+func TestSettleHonorsStalenessMean(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Consistency = sim.Eventual
+	cfg.StalenessMean = time.Hour
+	dep := NewDeployment(sim.NewEnv(cfg))
+	var names []string
+	for i := 0; i < 50; i++ {
+		name := fmt.Sprintf("item%02d", i)
+		if err := dep.DB.PutAttributes(sdb.PutRequest{Item: name, Attrs: []sdb.Attr{{Name: "a", Value: "v"}}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := dep.Store.Put(name, []byte("v"), nil); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, name)
+	}
+	dep.Settle()
+	for _, name := range names {
+		if _, err := dep.DB.GetAttributes(name); err != nil {
+			t.Fatalf("item %s not visible after Settle: %v", name, err)
+		}
+		if _, err := dep.Store.Get(name); err != nil {
+			t.Fatalf("object %s not visible after Settle: %v", name, err)
+		}
+	}
+}

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/cloud/sqs"
@@ -29,8 +31,10 @@ import (
 //     finish applying. Anything not double-written is now durably on its
 //     active-epoch shard.
 //  3. Copy: stream items out of each active-epoch shard with strongly
-//     consistent paged SELECTs, in bounded batches, and BatchPut the ones
-//     whose target-epoch home differs. The copy is idempotent — items are
+//     consistent paged SELECTs and BatchPut the ones whose target-epoch
+//     home differs, in full 25-item batches per destination that land
+//     while the scan moves on. Then wait until every copied version is
+//     visible on its new home. The copy is idempotent — items are
 //     immutable, so re-copying after a crash rewrites identical bytes.
 //  4. Cutover: atomically promote the target epoch on both directories and
 //     persist the control object in the "gc" state. Reads now route by the
@@ -74,7 +78,7 @@ type ReshardCrashPoint int
 const (
 	ReshardCrashNone       ReshardCrashPoint = iota
 	ReshardCrashPreCopy                      // window open + control persisted, nothing copied
-	ReshardCrashMidCopy                      // first bounded batch copied, the rest not
+	ReshardCrashMidCopy                      // first batch copied, the rest not
 	ReshardCrashPreCutover                   // copy complete, both epochs still live
 	ReshardCrashPreGC                        // cutover persisted, old-shard garbage intact
 )
@@ -168,12 +172,14 @@ type ReshardStats struct {
 	WALMigrated int // messages moved off decommissioned queues (shrink)
 }
 
-// reshardCopyPage bounds one copy-scan SELECT page: small enough that a
-// bounded batch of moves flushes between pages, large enough to amortize
-// the per-request latency.
+// reshardCopyPage bounds one copy- or GC-scan SELECT page: small enough to
+// keep a scanner's memory to one page, large enough to amortize the
+// per-request latency.
 const reshardCopyPage = 200
 
-// reshardConns bounds the copier's and GC's concurrent service calls.
+// reshardConns bounds the copier's and GC's concurrent batch calls per
+// destination domain (SimpleDB's write gate is per domain), and the number
+// of shards they scan at once.
 const reshardConns = 16
 
 // ErrReshardInFlight is returned when a second resharder races an open one.
@@ -293,18 +299,19 @@ func (d *Deployment) Reshard(ctx context.Context, target Topology) (ReshardStats
 	d.WAL.DrainPriorSends()
 
 	// Phase 3 — copy.
-	copied, err := d.reshardCopy(ctx)
+	copied, settledAt, err := d.reshardCopy(ctx)
 	stats.CopiedItems = copied
 	if err != nil {
 		return stats, err
 	}
 	// Visibility barrier: freshly copied items are eventually consistent on
 	// their new homes, and after cutover reads route there *alone*. Wait
-	// out the staleness window while the union-read window still covers
-	// every item through its old home — otherwise a long-settled item could
+	// until every copied version is visible — the destinations' SettledAt
+	// snapshot the copy took — while the union-read window still covers
+	// every item through its old home; otherwise a long-settled item could
 	// transiently vanish right after cutover, which a static deployment
-	// would never do.
-	d.Env.Clock().Sleep(d.Env.Config().StalenessMean * 20)
+	// would never do. Under strict consistency the snapshot is already past.
+	d.Env.Clock().SleepUntil(settledAt)
 	if d.takeReshardCrash(ReshardCrashPreCutover) {
 		return stats, fmt.Errorf("%w: resharder at %s", ErrSimulatedCrash, ReshardCrashPreCutover)
 	}
@@ -369,16 +376,19 @@ func (d *Deployment) installSplitLoads(target Topology) {
 }
 
 // reshardCopy streams every item whose target-epoch home differs from its
-// active-epoch shard to that new home, in bounded batches. The scan uses
+// active-epoch shard to that new home, in full batches. The scan uses
 // strongly consistent SELECTs (an eventually consistent page could hide a
 // just-committed item long enough to lose it at cutover). One pass
 // suffices: the write barrier ran before it, and everything newer
 // double-writes. The returned count tallies only durably written items —
-// batches whose put failed (or never ran) do not count.
-func (d *Deployment) reshardCopy(ctx context.Context) (int, error) {
+// batches whose put failed (or never ran) do not count. settledAt is the
+// snapshot, taken once every batch has returned, of the time by which all
+// versions on the copy's destination domains are visible; double-writes
+// landing after it cannot extend it.
+func (d *Deployment) reshardCopy(ctx context.Context) (copied int, settledAt time.Duration, err error) {
 	targetEpoch, ok := d.DB.Directory().Target()
 	if !ok {
-		return 0, nil // DB axis not migrating (WAL-only reshard)
+		return 0, 0, nil // DB axis not migrating (WAL-only reshard)
 	}
 	activeEpoch := d.DB.Directory().Active()
 	sources := make(map[int]bool)
@@ -391,21 +401,104 @@ func (d *Deployment) reshardCopy(ctx context.Context) (int, error) {
 			srcs = append(srcs, s)
 		}
 	}
+	sink := newCopySink(d)
 	// Source shards stream independently, so they scan in parallel — the
 	// double-write window lasts max(shard scan), not their sum.
-	var copied atomic.Int64
-	err := par.ForEach(reshardConns, len(srcs), func(i int) error {
-		return d.copyShard(ctx, srcs[i], targetEpoch, &copied)
+	err = par.ForEach(reshardConns, len(srcs), func(i int) error {
+		return d.copyShard(ctx, srcs[i], targetEpoch, sink)
 	})
-	return int(copied.Load()), err
+	sink.wg.Wait()
+	if err == nil {
+		err = sink.failed()
+	}
+	for home := range sink.used {
+		if sink.used[home].Load() {
+			settledAt = max(settledAt, d.DB.Shard(home).SettledAt())
+		}
+	}
+	return int(sink.copied.Load()), settledAt, err
 }
 
-// copyShard streams one source shard's movers to their target-epoch homes.
-func (d *Deployment) copyShard(ctx context.Context, s int, targetEpoch sim.DirEpoch, copied *atomic.Int64) error {
+// copySink drains a reshard copy's batches to their destination shards.
+// SimpleDB gates writes per domain, so each destination has its own bound
+// of reshardConns batches in flight; a scanner handing a batch to a
+// saturated destination waits for a slot, which keeps the copy's memory to
+// a page plus the in-flight batches.
+type copySink struct {
+	d      *Deployment
+	slots  []chan struct{} // per-destination semaphores
+	used   []atomic.Bool   // destinations that were handed a batch
+	wg     sync.WaitGroup
+	copied atomic.Int64
+
+	mu  sync.Mutex
+	err error // first batch failure (or the mid-copy crash)
+}
+
+func newCopySink(d *Deployment) *copySink {
+	n := d.DB.Shards()
+	c := &copySink{d: d, slots: make([]chan struct{}, n), used: make([]atomic.Bool, n)}
+	for i := range c.slots {
+		c.slots[i] = make(chan struct{}, reshardConns)
+	}
+	return c
+}
+
+func (c *copySink) failed() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
+}
+
+func (c *copySink) fail(err error) {
+	c.mu.Lock()
+	if c.err == nil {
+		c.err = err
+	}
+	c.mu.Unlock()
+}
+
+// put starts one BatchPut to shard home once the destination has a free
+// slot, and returns without waiting for it. After any batch has failed it
+// hands out nothing more and returns that failure.
+func (c *copySink) put(home int, batch []sdb.PutRequest) error {
+	c.slots[home] <- struct{}{}
+	if err := c.failed(); err != nil {
+		<-c.slots[home]
+		return err
+	}
+	c.used[home].Store(true)
+	c.wg.Add(1)
+	go func() {
+		defer func() {
+			<-c.slots[home]
+			c.wg.Done()
+		}()
+		if err := c.d.DB.Shard(home).BatchPutAttributes(batch); err != nil {
+			c.fail(err)
+			return
+		}
+		c.copied.Add(int64(len(batch)))
+		c.d.Env.Meter().CountOp("reshard.copyBatch", 0)
+		// One-shot (mutex-consumed) hook: exactly one batch, the first to
+		// succeed, trips the mid-copy crash. Batches already in flight
+		// still land, which is safe: the copy is idempotent.
+		if c.d.takeReshardCrash(ReshardCrashMidCopy) {
+			c.fail(fmt.Errorf("%w: resharder at %s", ErrSimulatedCrash, ReshardCrashMidCopy))
+		}
+	}()
+	return nil
+}
+
+// copyShard streams one source shard's movers to their target-epoch homes:
+// the scan routes each mover into its destination's pending batch and hands
+// every full batch to the sink without waiting for it to land. Partial
+// batches flush when the scan ends.
+func (d *Deployment) copyShard(ctx context.Context, s int, targetEpoch sim.DirEpoch, sink *copySink) error {
 	dom := d.DB.Shard(s)
 	q := sdb.Query{Domain: dom.Name(), Consistent: true, Limit: reshardCopyPage}
-	token := ""
-	for {
+	pending := make([][]sdb.PutRequest, len(sink.slots))
+	for token := ""; ; {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -413,52 +506,34 @@ func (d *Deployment) copyShard(ctx context.Context, s int, targetEpoch sim.DirEp
 		if err != nil {
 			return err
 		}
-		// Partition the page's movers by target home and flush the bounded
-		// batches in parallel.
-		perTarget := make(map[int][]sdb.PutRequest)
 		for _, it := range page.Items {
 			home := targetEpoch.Route(sdb.RouteKey(it.Name))
 			if home == s {
 				continue
 			}
-			perTarget[home] = append(perTarget[home], sdb.PutRequest{
+			pending[home] = append(pending[home], sdb.PutRequest{
 				Item: it.Name, Attrs: it.Attrs, Replace: true,
 			})
-		}
-		var tasks []func() error
-		for home, reqs := range perTarget {
-			dst := d.DB.Shard(home)
-			for start := 0; start < len(reqs); start += sdb.MaxBatchItems {
-				end := start + sdb.MaxBatchItems
-				if end > len(reqs) {
-					end = len(reqs)
+			if len(pending[home]) == sdb.MaxBatchItems {
+				if err := sink.put(home, pending[home]); err != nil {
+					return err
 				}
-				batch := reqs[start:end]
-				tasks = append(tasks, func() error {
-					if err := dst.BatchPutAttributes(batch); err != nil {
-						return err
-					}
-					copied.Add(int64(len(batch)))
-					return nil
-				})
-			}
-		}
-		if err := par.Run(reshardConns, tasks); err != nil {
-			return err
-		}
-		if len(tasks) > 0 {
-			d.Env.Meter().CountOp("reshard.copyBatch", 0)
-			// One-shot (mutex-consumed) hook: exactly one shard's first
-			// flushed batch trips the mid-copy crash.
-			if d.takeReshardCrash(ReshardCrashMidCopy) {
-				return fmt.Errorf("%w: resharder at %s", ErrSimulatedCrash, ReshardCrashMidCopy)
+				pending[home] = nil
 			}
 		}
 		if page.NextToken == "" {
-			return nil
+			break
 		}
 		token = page.NextToken
 	}
+	for home, batch := range pending {
+		if len(batch) > 0 {
+			if err := sink.put(home, batch); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // FinishPendingReshardGC runs the GC a dead resharder left pending, if any.

@@ -20,7 +20,15 @@ import (
 // the object uuids whose provenance the digests cover.
 func reshardWorkload(t *testing.T, k int, txns, perTxn int) (*Deployment, *P3, []uuid.UUID) {
 	t.Helper()
-	dep := newShardedDep(t, sim.Eventual, k)
+	cfg := sim.DefaultConfig()
+	cfg.Consistency = sim.Eventual
+	return reshardWorkloadIn(t, cfg, k, txns, perTxn)
+}
+
+// reshardWorkloadIn is reshardWorkload on an env built from cfg.
+func reshardWorkloadIn(t *testing.T, cfg sim.Config, k int, txns, perTxn int) (*Deployment, *P3, []uuid.UUID) {
+	t.Helper()
+	dep := NewShardedDeployment(sim.NewEnv(cfg), Topology{WALShards: k, DBShards: k})
 	p := NewP3(dep, Options{CommitWorkers: 2})
 	objs, bundles := poolTxns(99, txns, perTxn)
 	var uuids []uuid.UUID
@@ -160,6 +168,109 @@ func TestReshardGCBatchesDeletes(t *testing.T) {
 	if got := provDigest(t, dep, uuids); got != before {
 		t.Error("ReadProvenance digest changed across the reshard")
 	}
+}
+
+// TestReshardCopyFullBatches pins the copy's request shape on a K=1->4
+// grow: the scan routes movers into per-destination batches that flush
+// only when full (or when the scan ends), so the copy issues exactly
+// Σ⌈movers per destination / 25⌉ BatchPuts however the scan pages fall.
+func TestReshardCopyFullBatches(t *testing.T) {
+	const txns, perTxn = 120, 5 // several scan pages
+	dep, _, uuids := reshardWorkload(t, 1, txns, perTxn)
+	before := provDigest(t, dep, uuids)
+	dom := dep.DB.Shard(0)
+	items, _, _, err := dom.SelectAllQuery(sdb.Query{Domain: dom.Name(), ItemOnly: true, Consistent: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(items) <= 2*reshardCopyPage {
+		t.Fatalf("only %d items: the copy scan needs several pages to test", len(items))
+	}
+	ops := dep.Env.Meter().Usage().OpsByKind
+
+	stats, err := dep.Reshard(context.Background(), Topology{WALShards: 4, DBShards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := dep.DB.Directory().Active()
+	movers := make(map[int]int)
+	for _, it := range items {
+		if home := active.Route(sdb.RouteKey(it.Name)); home != 0 {
+			movers[home]++
+		}
+	}
+	moved, batches := 0, int64(0)
+	for _, n := range movers {
+		moved += n
+		batches += int64((n + sdb.MaxBatchItems - 1) / sdb.MaxBatchItems)
+	}
+	after := dep.Env.Meter().Usage().OpsByKind
+	if got := after["sdb.BatchPutAttributes"] - ops["sdb.BatchPutAttributes"]; got != batches {
+		t.Errorf("copy issued %d BatchPuts, want %d for %d movers to %d destinations", got, batches, moved, len(movers))
+	}
+	if got := after["reshard.copyBatch"] - ops["reshard.copyBatch"]; got != batches {
+		t.Errorf("copy counted %d batches, want %d", got, batches)
+	}
+	if stats.CopiedItems != moved {
+		t.Errorf("CopiedItems = %d, want %d movers", stats.CopiedItems, moved)
+	}
+	mis, dup, err := AuditFabric(dep)
+	if err != nil || mis != 0 || dup != 0 {
+		t.Fatalf("audit: misplaced=%d duplicates=%d err=%v", mis, dup, err)
+	}
+	dep.Settle()
+	if got := provDigest(t, dep, uuids); got != before {
+		t.Error("ReadProvenance digest changed across the reshard")
+	}
+}
+
+// TestReshardVisibilityWaitIsExact pins the pre-cutover visibility wait to
+// the copies' actual visibility rather than a multiple of StalenessMean:
+// under strict consistency (with a mean that a fixed multiple would turn
+// into a 20 h sleep) the reshard waits for nothing, and under eventual
+// consistency the cutover comes no earlier than every destination's
+// SettledAt.
+func TestReshardVisibilityWaitIsExact(t *testing.T) {
+	target := Topology{WALShards: 4, DBShards: 4}
+	t.Run("strict", func(t *testing.T) {
+		cfg := sim.DefaultConfig()
+		cfg.Consistency = sim.Strict
+		cfg.StalenessMean = time.Hour
+		dep, _, uuids := reshardWorkloadIn(t, cfg, 1, 16, 5)
+		before := provDigest(t, dep, uuids)
+		t0 := dep.Env.Now()
+		if _, err := dep.Reshard(context.Background(), target); err != nil {
+			t.Fatal(err)
+		}
+		if elapsed, fixed := dep.Env.Now()-t0, 20*cfg.StalenessMean; elapsed >= fixed {
+			t.Errorf("strict reshard took %v, not below 20 x StalenessMean = %v", elapsed, fixed)
+		}
+		if got := provDigest(t, dep, uuids); got != before {
+			t.Error("ReadProvenance digest changed across the reshard")
+		}
+	})
+	t.Run("eventual", func(t *testing.T) {
+		dep, _, uuids := reshardWorkload(t, 1, 16, 5)
+		before := provDigest(t, dep, uuids)
+		dep.SetReshardDropAfter(ReshardCrashPreCutover)
+		if _, err := dep.Reshard(context.Background(), target); !errors.Is(err, ErrSimulatedCrash) {
+			t.Fatalf("pre-cutover crash did not fire: %v", err)
+		}
+		// Nothing writes after the copy, so the destinations' SettledAt is
+		// still the snapshot the barrier waited for.
+		now := dep.Env.Now()
+		for s := 1; s < target.DBShards; s++ {
+			if settled := dep.DB.Shard(s).SettledAt(); now < settled {
+				t.Errorf("cutover at %v, before shard %d settles at %v", now, s, settled)
+			}
+		}
+		if _, resumed, err := ResumeReshard(context.Background(), dep); err != nil || !resumed {
+			t.Fatalf("resume: resumed=%v err=%v", resumed, err)
+		}
+		if got := provDigest(t, dep, uuids); got != before {
+			t.Error("ReadProvenance digest changed across the reshard")
+		}
+	})
 }
 
 // TestReshardCrashMatrix is the migration crash harness: kill the resharder

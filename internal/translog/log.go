@@ -139,9 +139,9 @@ func KeyFromEnv(env *sim.Env) ed25519.PrivateKey {
 // checkpoint is the persisted sequencer cursor.
 type checkpoint struct {
 	TreeSize int      `json:"tree_size"`
-	BusSeq   int64    `json:"bus_seq"`            // highest bus sequence folded in
-	Compact  []string `json:"compact"`            // hex compact-range node snapshot
-	Entries  []int    `json:"entries,omitempty"`  // start index of every entry batch
+	BusSeq   int64    `json:"bus_seq"`           // highest bus sequence folded in
+	Compact  []string `json:"compact"`           // hex compact-range node snapshot
+	Entries  []int    `json:"entries,omitempty"` // start index of every entry batch
 }
 
 // Log is the transparency log: the in-memory tree the sequencer grows plus

@@ -329,11 +329,11 @@ func TestAutoscaleSamplingRaceClean(t *testing.T) {
 }
 
 // TestAutoscaleResiliencePropagationAcrossCycles is the regression net for
-// endpoints born mid-run: across repeated controller-driven grow/shrink
-// cycles, every live queue and domain — including slots re-materialized
-// after a shrink released them — must carry the deployment's resilient
-// client, and a forced transient fault against a late-born endpoint must be
-// retried through it.
+// endpoints born mid-run: the deployment's resilient client is attached once,
+// on the env, so across repeated controller-driven grow/shrink cycles every
+// live queue and domain — including slots re-materialized after a shrink
+// released them — must retry a forced transient fault through it, with
+// nothing propagated to the new shards.
 func TestAutoscaleResiliencePropagationAcrossCycles(t *testing.T) {
 	cfg := testCfg
 	cfg.MaxK = 3
@@ -347,16 +347,29 @@ func TestAutoscaleResiliencePropagationAcrossCycles(t *testing.T) {
 	}
 	inj := dep.Env.InstallFaults(nil)
 
+	// retried arms a one-shot transient fault on endpoint's op, runs call
+	// (a no-op request) and reports whether the client retried it.
+	retried := func(endpoint, op string, call func() error) bool {
+		t.Helper()
+		before := client.Stats().Endpoints[endpoint].Retries
+		inj.FailNextOp(endpoint, op, &sim.TransientError{Endpoint: endpoint, Op: op, Code: sim.CodeServiceUnavailable})
+		if err := call(); err != nil {
+			t.Fatalf("%s %s: retry did not absorb the forced fault: %v", endpoint, op, err)
+		}
+		return client.Stats().Endpoints[endpoint].Retries > before
+	}
 	checkWired := func(cycle int) {
 		t.Helper()
 		for i := 0; i < dep.WAL.Shards(); i++ {
-			if q := dep.WAL.Shard(i); q != nil && q.Resilience() != client {
-				t.Fatalf("cycle %d: queue %s escaped SetResilience propagation", cycle, q.Name())
+			q := dep.WAL.Shard(i)
+			if q != nil && !retried(q.Name(), "sqs.DeleteMessage", func() error { return q.DeleteMessage("absent#1") }) {
+				t.Fatalf("cycle %d: queue %s did not retry through the env's client", cycle, q.Name())
 			}
 		}
 		for i := 0; i < dep.DB.Shards(); i++ {
-			if d := dep.DB.Shard(i); d != nil && d.Resilience() != client {
-				t.Fatalf("cycle %d: domain %s escaped SetResilience propagation", cycle, d.Name())
+			d := dep.DB.Shard(i)
+			if d != nil && !retried(d.Name(), "sdb.DeleteAttributes", func() error { return d.DeleteAttributes("absent") }) {
+				t.Fatalf("cycle %d: domain %s did not retry through the env's client", cycle, d.Name())
 			}
 		}
 	}

@@ -102,6 +102,8 @@ func (r AutoscaleRun) PhaseP99(name string) float64 {
 	return -1
 }
 
+// pctMs returns the q-th percentile of the sorted latencies lat in ms (0
+// when there are none).
 func pctMs(lat []time.Duration, q int) float64 {
 	if len(lat) == 0 {
 		return 0

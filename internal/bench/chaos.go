@@ -245,8 +245,8 @@ func ChaosCommitQueryReshard(c ChaosConfig) (ChaosRun, error) {
 		}
 	}
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	run.QueryP50Ms = float64(lat[len(lat)/2].Microseconds()) / 1e3
-	run.QueryP99Ms = float64(lat[len(lat)*99/100].Microseconds()) / 1e3
+	run.QueryP50Ms = pctMs(lat, 50)
+	run.QueryP99Ms = pctMs(lat, 99)
 
 	stop()
 	if err := p3.Settle(); err != nil {

@@ -357,8 +357,8 @@ func TenantIsolation(c TenantIsolationConfig) (TenantIsolationRun, error) {
 		run.Goodput = float64(committed) / run.SimSeconds
 	}
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	run.CommitP50Ms = float64(lat[len(lat)/2].Microseconds()) / 1e3
-	run.CommitP99Ms = float64(lat[len(lat)*99/100].Microseconds()) / 1e3
+	run.CommitP50Ms = pctMs(lat, 50)
+	run.CommitP99Ms = pctMs(lat, 99)
 
 	// Drain everything assembled, fault-free, then stop the pool.
 	if f := env.Faults(); f != nil {

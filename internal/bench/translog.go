@@ -238,8 +238,8 @@ func TamperDetection(c TamperConfig) (TamperRun, error) {
 	}
 	run.WallSeconds = time.Since(wall0).Seconds()
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	run.CommitP50Ms = float64(lat[len(lat)/2].Microseconds()) / 1e3
-	run.CommitP99Ms = float64(lat[len(lat)*99/100].Microseconds()) / 1e3
+	run.CommitP50Ms = pctMs(lat, 50)
+	run.CommitP99Ms = pctMs(lat, 99)
 
 	// Verification outside the measurement: instant clock, fault plan
 	// disarmed (the proofs and the audit are the subject here, not the

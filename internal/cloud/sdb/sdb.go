@@ -24,7 +24,6 @@ import (
 	"sync"
 	"time"
 
-	"passcloud/internal/resilient"
 	"passcloud/internal/sim"
 )
 
@@ -85,12 +84,8 @@ type itemVersion struct {
 
 // Domain is one SimpleDB domain bound to a simulated environment.
 type Domain struct {
-	env  *sim.Env
-	name string
-	lane int // rate-gate lane: each domain is its own service partition
-
-	resMu sync.Mutex
-	res   *resilient.Client // nil: no client-side retries
+	env *sim.Env
+	ep  sim.Endpoint // named domain on its own lane: one service partition
 
 	mu        sync.Mutex
 	items     map[string][]*itemVersion
@@ -118,19 +113,11 @@ func New(env *sim.Env, name string) *Domain {
 func NewLane(env *sim.Env, name string, lane int) *Domain {
 	return &Domain{
 		env:   env,
-		name:  name,
-		lane:  lane,
+		ep:    sim.NewEndpoint(env, name, lane),
 		items: make(map[string][]*itemVersion),
 		idx:   make(map[string]*attrIndex),
 		plans: make(map[string]*Query),
 	}
-}
-
-// count charges one request of the named kind to the meter, both per-kind
-// and against this domain's endpoint (per-shard load reporting).
-func (d *Domain) count(kind string, payload int64) {
-	d.env.Meter().CountOp(kind, payload)
-	d.env.Meter().CountEndpointOp(d.name)
 }
 
 // SetForceScan disables the secondary indexes so every SELECT walks the
@@ -140,45 +127,6 @@ func (d *Domain) SetForceScan(v bool) {
 	d.mu.Lock()
 	d.forceScan = v
 	d.mu.Unlock()
-}
-
-// SetResilience installs (nil: removes) the client-side retry layer every
-// request routes through; see package resilient.
-func (d *Domain) SetResilience(c *resilient.Client) {
-	d.resMu.Lock()
-	d.res = c
-	d.resMu.Unlock()
-}
-
-// Resilience returns the installed retry layer, or nil — regression tests
-// use it to prove domains born mid-reshard inherit the set's client.
-func (d *Domain) Resilience() *resilient.Client {
-	d.resMu.Lock()
-	defer d.resMu.Unlock()
-	return d.res
-}
-
-// retry routes one request attempt through the resilient client, if any.
-func (d *Domain) retry(op func() error) error {
-	d.resMu.Lock()
-	c := d.res
-	d.resMu.Unlock()
-	if c != nil {
-		return c.Do(d.name, op)
-	}
-	return op()
-}
-
-// faulted consults the fault injector for one request of kind against this
-// domain; a clean rejection (not applied) still charges a failed round-trip
-// on the domain's gate lane, exactly as a real 503 costs a request.
-func (d *Domain) faulted(op sim.OpKind, kind string, mutating bool) (error, bool) {
-	ferr, applied := d.env.FaultPoint(d.name, kind, mutating)
-	if ferr != nil && !applied {
-		d.env.ExecLane(op, 0, d.lane)
-		d.count(kind, 0)
-	}
-	return ferr, applied
 }
 
 // sortedNamesLocked returns (building if needed) the sorted name index.
@@ -194,7 +142,7 @@ func (d *Domain) sortedNamesLocked() []string {
 }
 
 // Name returns the domain name used in SELECT statements.
-func (d *Domain) Name() string { return d.name }
+func (d *Domain) Name() string { return d.ep.Name() }
 
 // Env returns the environment the domain charges against.
 func (d *Domain) Env() *sim.Env { return d.env }
@@ -214,20 +162,19 @@ func (d *Domain) PutAttributes(req PutRequest) error {
 	if err := validate(req.Attrs); err != nil {
 		return err
 	}
-	return d.retry(func() error { return d.putOnce(req) })
+	return d.ep.Do(func() error { return d.putOnce(req) })
 }
 
 // putOnce is one service attempt of a put. An ambiguous fault (applied)
 // commits the write and still reports the error; the protocols' puts are
 // full replaces of immutable content, so a retried apply converges.
 func (d *Domain) putOnce(req PutRequest) error {
-	ferr, applied := d.faulted(sim.OpSDBPut, "sdb.PutAttributes", true)
+	ferr, applied := d.ep.Fault(sim.OpSDBPut, "sdb.PutAttributes", true)
 	if ferr != nil && !applied {
 		return ferr
 	}
 	payload := Item{Name: req.Item, Attrs: req.Attrs}.size()
-	d.env.ExecLane(sim.OpSDBPut, payload, d.lane)
-	d.count("sdb.PutAttributes", int64(payload))
+	d.ep.Charge(sim.OpSDBPut, "sdb.PutAttributes", payload)
 	d.mu.Lock()
 	d.applyLocked(req)
 	d.mu.Unlock()
@@ -248,21 +195,20 @@ func (d *Domain) BatchPutAttributes(reqs []PutRequest) error {
 		}
 		payload += Item{Name: r.Item, Attrs: r.Attrs}.size()
 	}
-	return d.retry(func() error { return d.batchPutOnce(reqs, payload) })
+	return d.ep.Do(func() error { return d.batchPutOnce(reqs, payload) })
 }
 
 // batchPutOnce is one service attempt of a batch put (see putOnce for the
 // ambiguous-fault contract).
 func (d *Domain) batchPutOnce(reqs []PutRequest, payload int) error {
-	ferr, applied := d.faulted(sim.OpSDBBatchPut, "sdb.BatchPutAttributes", true)
+	ferr, applied := d.ep.Fault(sim.OpSDBBatchPut, "sdb.BatchPutAttributes", true)
 	if ferr != nil && !applied {
 		return ferr
 	}
-	d.env.ExecLane(sim.OpSDBBatchPut, payload, d.lane)
+	d.ep.Charge(sim.OpSDBBatchPut, "sdb.BatchPutAttributes", payload)
 	if extra := d.env.Model().BatchItemLatency(len(reqs)); extra > 0 {
 		d.env.Clock().Sleep(extra)
 	}
-	d.count("sdb.BatchPutAttributes", int64(payload))
 	d.mu.Lock()
 	for _, r := range reqs {
 		d.applyLocked(r)
@@ -342,7 +288,7 @@ func (d *Domain) observe(name string, now time.Duration) *itemVersion {
 // GetAttributes returns the attributes of one item.
 func (d *Domain) GetAttributes(item string) (Item, error) {
 	var it Item
-	err := d.retry(func() error {
+	err := d.ep.Do(func() error {
 		var err error
 		it, err = d.getOnce(item)
 		return err
@@ -351,7 +297,7 @@ func (d *Domain) GetAttributes(item string) (Item, error) {
 }
 
 func (d *Domain) getOnce(item string) (Item, error) {
-	if ferr, _ := d.faulted(sim.OpSDBGet, "sdb.GetAttributes", false); ferr != nil {
+	if ferr, _ := d.ep.Fault(sim.OpSDBGet, "sdb.GetAttributes", false); ferr != nil {
 		return Item{}, ferr
 	}
 	d.mu.Lock()
@@ -366,8 +312,7 @@ func (d *Domain) getOnce(item string) (Item, error) {
 	if ok {
 		payload = it.size()
 	}
-	d.env.ExecLane(sim.OpSDBGet, payload, d.lane)
-	d.count("sdb.GetAttributes", int64(payload))
+	d.ep.Charge(sim.OpSDBGet, "sdb.GetAttributes", payload)
 	if !ok {
 		return Item{}, fmt.Errorf("%w: %s", ErrNoSuchItem, item)
 	}
@@ -376,16 +321,15 @@ func (d *Domain) getOnce(item string) (Item, error) {
 
 // DeleteAttributes removes an entire item (the only form the protocols use).
 func (d *Domain) DeleteAttributes(item string) error {
-	return d.retry(func() error { return d.deleteOnce(item) })
+	return d.ep.Do(func() error { return d.deleteOnce(item) })
 }
 
 func (d *Domain) deleteOnce(item string) error {
-	ferr, applied := d.faulted(sim.OpSDBDelete, "sdb.DeleteAttributes", true)
+	ferr, applied := d.ep.Fault(sim.OpSDBDelete, "sdb.DeleteAttributes", true)
 	if ferr != nil && !applied {
 		return ferr
 	}
-	d.env.ExecLane(sim.OpSDBDelete, 0, d.lane)
-	d.count("sdb.DeleteAttributes", 0)
+	d.ep.Charge(sim.OpSDBDelete, "sdb.DeleteAttributes", 0)
 	now := d.env.Now()
 	d.mu.Lock()
 	d.deleteLocked(item, now)
@@ -399,21 +343,20 @@ func (d *Domain) BatchDeleteAttributes(items []string) error {
 	if len(items) > MaxBatchItems {
 		return ErrBatchTooLarge
 	}
-	return d.retry(func() error { return d.batchDeleteOnce(items) })
+	return d.ep.Do(func() error { return d.batchDeleteOnce(items) })
 }
 
 // batchDeleteOnce is one service attempt of a batch delete (see putOnce for
 // the ambiguous-fault contract; deletes converge just as replaces do).
 func (d *Domain) batchDeleteOnce(items []string) error {
-	ferr, applied := d.faulted(sim.OpSDBBatchDelete, "sdb.BatchDeleteAttributes", true)
+	ferr, applied := d.ep.Fault(sim.OpSDBBatchDelete, "sdb.BatchDeleteAttributes", true)
 	if ferr != nil && !applied {
 		return ferr
 	}
-	d.env.ExecLane(sim.OpSDBBatchDelete, 0, d.lane)
+	d.ep.Charge(sim.OpSDBBatchDelete, "sdb.BatchDeleteAttributes", 0)
 	if extra := d.env.Model().BatchItemLatency(len(items)); extra > 0 {
 		d.env.Clock().Sleep(extra)
 	}
-	d.count("sdb.BatchDeleteAttributes", 0)
 	now := d.env.Now()
 	d.mu.Lock()
 	for _, item := range items {
@@ -507,11 +450,11 @@ func (d *Domain) SelectQuery(q Query, nextToken string) (SelectPage, error) {
 // ascending name order, resuming from the continuation token, and only the
 // emitted page is copied out of the store.
 func (d *Domain) selectPage(q *Query, nextToken string) (SelectPage, error) {
-	if q.Domain != d.name {
+	if q.Domain != d.ep.Name() {
 		return SelectPage{}, fmt.Errorf("sdb: unknown domain %q in select", q.Domain)
 	}
 	var page SelectPage
-	err := d.retry(func() error {
+	err := d.ep.Do(func() error {
 		var err error
 		page, err = d.selectPageOnce(q, nextToken)
 		return err
@@ -521,7 +464,7 @@ func (d *Domain) selectPage(q *Query, nextToken string) (SelectPage, error) {
 
 // selectPageOnce is one service attempt of a SELECT page.
 func (d *Domain) selectPageOnce(q *Query, nextToken string) (SelectPage, error) {
-	if ferr, _ := d.faulted(sim.OpSDBSelect, "sdb.Select", false); ferr != nil {
+	if ferr, _ := d.ep.Fault(sim.OpSDBSelect, "sdb.Select", false); ferr != nil {
 		return SelectPage{}, ferr
 	}
 	now := d.env.Now()
@@ -591,7 +534,7 @@ func (d *Domain) selectPageOnce(q *Query, nextToken string) (SelectPage, error) 
 	d.mu.Unlock()
 
 	page.Bytes = bytes
-	d.env.ExecLane(sim.OpSDBSelect, bytes, d.lane)
+	d.ep.Charge(sim.OpSDBSelect, "sdb.Select", bytes)
 	// The query engine's work scales with the items the access path
 	// examined — the whole table for a scan, only the predicate's
 	// candidates for an indexed path.
@@ -599,7 +542,6 @@ func (d *Domain) selectPageOnce(q *Query, nextToken string) (SelectPage, error) 
 		d.env.Clock().Sleep(extra)
 	}
 	d.env.Meter().AddItemsExamined(int64(examined))
-	d.count("sdb.Select", int64(bytes))
 	return page, nil
 }
 

@@ -416,7 +416,7 @@ func TestBatchDeleteAmbiguousFaultRetries(t *testing.T) {
 	d := strictDomain(t)
 	names := fillDomain(t, d, MaxBatchItems)
 	env := d.Env()
-	d.SetResilience(resilient.New(env, resilient.Policy{}))
+	env.SetRetrier(resilient.New(env, resilient.Policy{}))
 	// Only the first attempt lands inside the fault window.
 	env.InstallFaults(sim.FaultPlan{d.Name(): {
 		Prob: 1, ApplyProb: 1, Ops: []string{"sdb.BatchDeleteAttributes"},
@@ -436,7 +436,7 @@ func TestBatchDeleteAmbiguousFaultRetries(t *testing.T) {
 
 	// Without retries the same fault surfaces, yet the batch was applied.
 	names = fillDomain(t, d, 3)
-	d.SetResilience(resilient.New(env, resilient.Policy{MaxAttempts: 1}))
+	env.SetRetrier(resilient.New(env, resilient.Policy{MaxAttempts: 1}))
 	env.InstallFaults(sim.FaultPlan{d.Name(): {
 		Prob: 1, ApplyProb: 1, Ops: []string{"sdb.BatchDeleteAttributes"},
 		Until: env.Now() + time.Millisecond,

@@ -51,10 +51,9 @@ type DomainSet struct {
 	ep   *sim.EpochSet
 
 	// Guarded by ep's lock (mutated via ep.Locked / the grow callback).
-	shards    []*Domain         // index == shard id; may exceed the live count mid-shrink
-	bareZero  bool              // shard 0 kept the bare base name (created at K == 1)
-	forceScan bool              // sticky ablation flag, applied to grown shards too
-	res       *resilient.Client // sticky retry layer, installed on grown shards too
+	shards    []*Domain // index == shard id; may exceed the live count mid-shrink
+	bareZero  bool      // shard 0 kept the bare base name (created at K == 1)
+	forceScan bool      // sticky ablation flag, applied to grown shards too
 }
 
 // NewSet creates a K-way domain set. k < 1 is clamped to 1; k == 1 yields a
@@ -85,7 +84,6 @@ func (s *DomainSet) growLocked(k int) {
 		if s.forceScan {
 			d.SetForceScan(true)
 		}
-		d.SetResilience(s.res)
 		s.shards = append(s.shards, d)
 	}
 }
@@ -154,28 +152,6 @@ func (s *DomainSet) ShardForKey(key string) int { return s.Directory().Route(key
 // can tell where an invalidated item lives mid-reshard.
 func (s *DomainSet) HomesForItem(item string) []int {
 	return s.View().homesForItem(item)
-}
-
-// SetResilience installs (nil: removes) the client-side retry layer on
-// every shard, present and future — the reference is sticky across growth,
-// so domains a reshard creates mid-flight retry like their peers. The set
-// itself uses it to hedge straggler shards on scatter-gather reads.
-func (s *DomainSet) SetResilience(c *resilient.Client) {
-	var shards []*Domain
-	s.ep.Locked(func() {
-		s.res = c
-		shards = append(shards, s.shards...)
-	})
-	for _, d := range shards {
-		d.SetResilience(c)
-	}
-}
-
-// resilience returns the sticky retry layer, or nil.
-func (s *DomainSet) resilience() *resilient.Client {
-	var c *resilient.Client
-	s.ep.Locked(func() { c = s.res })
-	return c
 }
 
 // SetForceScan toggles the index-disabling ablation on every shard (present
@@ -369,7 +345,8 @@ func (v *DomainView) SelectAllQuery(q Query) (items []Item, requests int, bytes 
 		err   error
 	}
 	results := make([]result, len(v.shards))
-	res := v.set.resilience()
+	// The env's retry layer also hedges straggler shards (nil: no hedging).
+	res, _ := v.set.env.Retrier().(*resilient.Client)
 	var wg sync.WaitGroup
 	for i := range v.shards {
 		sq, err := v.rebase(q, i)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"passcloud/internal/resilient"
 	"passcloud/internal/sim"
 )
 
@@ -41,7 +40,6 @@ type QueueSet struct {
 	// Sticky per-shard settings, applied to queues grown mid-flight.
 	visibility time.Duration
 	retention  time.Duration
-	res        *resilient.Client
 }
 
 // NewSet creates a K-way queue set. k < 1 is clamped to 1; k == 1 yields a
@@ -77,7 +75,6 @@ func (s *QueueSet) growLocked(k int) {
 		q := NewLane(s.env, s.shardName(i), i)
 		q.SetVisibility(s.visibility)
 		q.SetRetention(s.retention)
-		q.SetResilience(s.res)
 		s.shards = append(s.shards, q)
 	}
 }
@@ -182,20 +179,6 @@ func (s *QueueSet) SetRetention(d time.Duration) {
 	})
 	for _, q := range qs {
 		q.SetRetention(d)
-	}
-}
-
-// SetResilience installs (nil: removes) the client-side retry layer on
-// every shard, present and future — sticky across growth, so queues a
-// reshard creates mid-flight retry like their peers.
-func (s *QueueSet) SetResilience(c *resilient.Client) {
-	var qs []*Queue
-	s.ep.Locked(func() {
-		s.res = c
-		qs = append(qs, s.shards...)
-	})
-	for _, q := range qs {
-		q.SetResilience(c)
 	}
 }
 

@@ -240,6 +240,29 @@ func TestOpsAreCounted(t *testing.T) {
 	}
 }
 
+// TestOpsCountedByEndpoint pins that S3 requests count against the "s3"
+// endpoint like every other endpoint's requests, a rejected attempt
+// included.
+func TestOpsCountedByEndpoint(t *testing.T) {
+	s := strictStore(t)
+	s.Env().InstallFaults(nil).FailNextOp(Endpoint, "s3.PUT",
+		&sim.TransientError{Endpoint: Endpoint, Op: "s3.PUT", Code: sim.CodeSlowDown})
+	if err := s.Put("k", []byte("x"), nil); !sim.IsTransient(err) {
+		t.Fatalf("put err = %v, want the forced fault (no retrier attached)", err)
+	}
+	s.Put("k", []byte("x"), nil)
+	s.Get("k")
+	s.Get("missing")
+	s.Head("k")
+	s.Copy("k", "k2", nil)
+	s.Delete("k2")
+	s.List("", "", 0)
+	u := s.Env().Meter().Usage()
+	if got := u.OpsByEndpoint[Endpoint]; got != 8 || got != u.TotalOps {
+		t.Fatalf("OpsByEndpoint[%q] = %d, want 8 = TotalOps (%d)", Endpoint, got, u.TotalOps)
+	}
+}
+
 func TestLastAccess(t *testing.T) {
 	s := strictStore(t)
 	s.Put("k", []byte("x"), nil)

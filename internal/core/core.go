@@ -163,9 +163,10 @@ type Deployment struct {
 	Topo  Topology
 
 	// Res is the client-side resilience layer (backoff, retry budgets,
-	// breaker, hedging) every service endpoint routes through; installed by
-	// default and inert until a fault plan is armed on the environment. See
-	// SetResilience and package resilient.
+	// breaker, hedging) every service endpoint routes through, S3 included.
+	// It is attached once, as Env's retrier, so shards born mid-run use it
+	// too; installed by default and inert until a fault plan is armed on the
+	// environment. See SetResilience and package resilient.
 	Res *resilient.Client
 
 	// Commits fans committed-transaction notices out to subscribed query
@@ -218,14 +219,12 @@ func NewShardedDeployment(env *sim.Env, topo Topology) *Deployment {
 	return d
 }
 
-// SetResilience installs c as the deployment-wide resilience layer on every
-// service endpoint, present and future (nil removes it — the chaos
-// harness's negative control, where injected faults surface raw).
+// SetResilience attaches c once, as the env's retrier, so every service
+// endpoint, present and future, routes through it (nil removes it — the
+// chaos harness's negative control, where injected faults surface raw).
 func (d *Deployment) SetResilience(c *resilient.Client) {
 	d.Res = c
-	d.Store.SetResilience(c)
-	d.DB.SetResilience(c)
-	d.WAL.SetResilience(c)
+	d.Env.SetRetrier(c)
 }
 
 // Settle advances a manual clock far enough that every staleness window of

@@ -40,10 +40,12 @@
 //
 // # Tenant-scoped resilience
 //
-// The door layers a second resilient.Client over PR 6's per-endpoint one,
-// keyed "tenant/<id>". A commit's WAL flush runs inside the tenant-keyed
-// retry loop (which wraps the per-endpoint retries the leaf services
-// already perform), so retry budgets and circuit breakers exist per tenant:
+// The door layers a second resilient.Client, keyed "tenant/<id>", over the
+// per-endpoint one the deployment attaches once on its environment (every
+// endpoint, S3 included, retries through that one). A commit's WAL flush
+// runs inside the tenant-keyed retry loop (which wraps the per-endpoint
+// retries every request already performs), so retry budgets and circuit
+// breakers exist per tenant:
 // an abusive tenant replaying a retry storm exhausts only its own budget
 // and trips only its own breaker, while other tenants' keys — and their
 // endpoints' budgets, which the abuser can no longer reach through the open

@@ -3,13 +3,15 @@
 // gets from its SDK (gax/cenkalti-backoff style) and that the paper's
 // prototype had to hand-roll around S3/SimpleDB/SQS throttling.
 //
-// One Client is installed per deployment and shared by every service
-// endpoint (core.NewShardedDeployment installs a default one; see
-// Deployment.SetResilience). The leaf services — store.Store, sdb.Domain,
-// sqs.Queue — route each request through Client.Do, so every call site in
-// core, query, reshard and the daemons is covered without per-path wiring.
-// The layer is inert when no fault plan is armed: without transient errors,
-// Do is a single call of the underlying op.
+// One Client is attached once per deployment, as its environment's retrier
+// (sim.Env.SetRetrier; core.NewShardedDeployment attaches a default one, see
+// Deployment.SetResilience). Every service endpoint — the S3 bucket, each
+// SimpleDB domain, each SQS queue, shards a reshard creates mid-run
+// included — routes each request through it via sim.Endpoint.Do, so every
+// call site in core, query, reshard and the daemons is covered without
+// per-path or per-shard wiring. The layer is inert when no fault plan is
+// armed: without transient errors, Do is a single call of the underlying op.
+// A nil Client's Do runs the op once, with no retries.
 //
 // Mechanisms, per endpoint (an endpoint is one service partition: the "s3"
 // bucket, a SimpleDB domain like "prov-2", an SQS queue like "wal-1"):

@@ -172,7 +172,13 @@ func (c *Client) state(endpoint string) *endpointState {
 // Do runs op against endpoint, retrying transient failures with
 // exponentially growing full-jitter backoff until it succeeds, returns a
 // non-retryable error, exhausts MaxAttempts, or runs out of retry budget.
+// A nil client runs op exactly once, as Hedged does, so a removed layer
+// (Deployment.SetResilience(nil)) surfaces faults raw. *Client satisfies
+// sim.Retrier.
 func (c *Client) Do(endpoint string, op func() error) error {
+	if c == nil {
+		return op()
+	}
 	// Breaker check up front: while open, fail fast without a service call.
 	// After the cooldown exactly one caller is elected the half-open probe;
 	// concurrent callers keep failing fast until the probe resolves, so a

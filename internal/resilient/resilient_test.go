@@ -57,6 +57,23 @@ func TestNonTransientPassthrough(t *testing.T) {
 	}
 }
 
+// TestNilClientRetryPassthrough pins that a nil client — a removed layer, as
+// in Deployment.SetResilience(nil) — runs op exactly once and surfaces its
+// transient error raw, as Hedged does for a nil client.
+func TestNilClientRetryPassthrough(t *testing.T) {
+	var c *Client
+	calls := 0
+	err := c.Do("ep", func() error { calls++; return transientErr() })
+	if !sim.IsTransient(err) || calls != 1 {
+		t.Fatalf("Do = %v after %d calls, want the transient error after 1", err, calls)
+	}
+	var r sim.Retrier = c // a typed nil attached as an env's retrier
+	calls = 0
+	if err := r.Do("ep", func() error { calls++; return nil }); err != nil || calls != 1 {
+		t.Fatalf("Do via sim.Retrier = %v after %d calls, want nil after 1", err, calls)
+	}
+}
+
 // TestMaxAttempts pins that a persistently failing op gives up after
 // MaxAttempts and returns the transient error itself.
 func TestMaxAttempts(t *testing.T) {

@@ -314,7 +314,7 @@ func (m Model) latency(op OpKind, nbytes int) time.Duration {
 
 // BatchItemLatency returns the extra latency a BatchPutAttributes (or
 // BatchDeleteAttributes) call pays per item beyond the first; the sdb
-// service adds it to Exec's base charge.
+// service adds it to ExecLane's base charge.
 func (m Model) BatchItemLatency(items int) time.Duration {
 	if items <= 1 {
 		return 0
@@ -324,7 +324,7 @@ func (m Model) BatchItemLatency(items int) time.Duration {
 
 // SelectScanLatency returns the query-engine time one SELECT request pays
 // for the items its access path examined beyond the first; the sdb service
-// adds it to Exec's base charge. An indexed access path examines only the
+// adds it to ExecLane's base charge. An indexed access path examines only the
 // candidate items of its predicate while a table scan examines every item,
 // so this term is what separates indexed and scan SELECTs in simulated time
 // (the per-request base and transfer terms are identical for both).
@@ -337,7 +337,7 @@ func (m Model) SelectScanLatency(examined int) time.Duration {
 
 // SQSBatchEntryLatency returns the extra latency a SendMessageBatch or
 // DeleteMessageBatch call pays per entry beyond the first; the sqs service
-// adds it to Exec's base charge. The whole call remains one gate admission
+// adds it to ExecLane's base charge. The whole call remains one gate admission
 // and one billed request, so a full 10-entry batch is far cheaper than ten
 // entry-by-entry calls.
 func (m Model) SQSBatchEntryLatency(entries int) time.Duration {

@@ -4,7 +4,8 @@
 // and a deterministic seeded random source.
 //
 // Everything in this repository that "talks to the cloud" routes each
-// request through Env.Exec, which charges the request against the latency
+// request through one Endpoint (endpoint.go): the env's retrier, its fault
+// point, and Env.ExecLane, which charges the request against the latency
 // model (base latency, payload transfer time, per-host rate gates) and the
 // cost meter. Experiments run the environment in live mode (virtual time is
 // wall time multiplied by Config.TimeScale) so that concurrency effects are
@@ -183,6 +184,7 @@ type Env struct {
 
 	faultMu sync.Mutex
 	faults  *FaultInjector // nil until InstallFaults; see faults.go
+	retrier Retrier        // nil until SetRetrier; see endpoint.go
 }
 
 // NewEnv creates an environment from cfg, filling defaults.
@@ -247,7 +249,7 @@ func (e *Env) Faults() *FaultInjector {
 // FaultPoint consults the fault injector for one request of op kind op
 // against endpoint; mutating marks state-changing ops (eligible for the
 // ambiguous fail-applied outcome). With no injector installed it is a nil
-// check. Service implementations call it before executing each request.
+// check. Endpoint.Fault calls it before executing each request.
 func (e *Env) FaultPoint(endpoint, op string, mutating bool) (err error, applied bool) {
 	e.faultMu.Lock()
 	f := e.faults
@@ -296,21 +298,18 @@ func (e *Env) StalenessWindow() time.Duration {
 	return e.rnd.Exp(e.cfg.StalenessMean)
 }
 
-// Exec performs one simulated service request of kind op carrying a payload
-// of nbytes (request body for writes, response body for reads). It waits for
-// gate admission, sleeps the modelled latency, charges the cost meter, and
-// returns the request's service latency (excluding gate queueing).
-func (e *Env) Exec(op OpKind, nbytes int) time.Duration {
-	return e.ExecLane(op, nbytes, 0)
-}
-
-// ExecLane is Exec against a sharded service endpoint: requests on distinct
-// lanes queue at distinct rate gates, modelling that a SimpleDB domain or an
-// SQS queue is its own service-side partition with its own request-rate
-// ceiling (the paper's ~7 BatchPut/s and ~210 request/s gates are per
-// domain/queue, which is exactly why sharding across K of them scales the
-// write path). Latency, billing and the shared host NIC are unaffected by
-// the lane; lane 0 is the default endpoint, so ExecLane(op, n, 0) == Exec.
+// ExecLane performs one simulated service request of kind op carrying a
+// payload of nbytes (request body for writes, response body for reads) on
+// rate-gate lane lane. It waits for gate admission, sleeps the modelled
+// latency, charges the cost meter, and returns the request's service latency
+// (excluding gate queueing).
+//
+// Requests on distinct lanes queue at distinct rate gates, modelling that a
+// SimpleDB domain or an SQS queue is its own service-side partition with its
+// own request-rate ceiling (the paper's ~7 BatchPut/s and ~210 request/s
+// gates are per domain/queue, which is exactly why sharding across K of them
+// scales the write path). Latency, billing and the shared host NIC are
+// unaffected by the lane; lane 0 is the default endpoint's gates.
 func (e *Env) ExecLane(op OpKind, nbytes int, lane int) time.Duration {
 	spec := opSpecs[op]
 

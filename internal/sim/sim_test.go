@@ -57,9 +57,9 @@ func TestGateEnforcesRate(t *testing.T) {
 
 func TestExecChargesMeterAndClock(t *testing.T) {
 	e := NewEnv(DefaultConfig())
-	d := e.Exec(OpS3Put, 1<<20)
+	d := e.ExecLane(OpS3Put, 1<<20, 0)
 	if d <= 0 {
-		t.Fatal("Exec returned non-positive latency")
+		t.Fatal("ExecLane returned non-positive latency")
 	}
 	u := e.Meter().Usage()
 	if u.Requests[CostS3Put] != 1 {
@@ -69,13 +69,13 @@ func TestExecChargesMeterAndClock(t *testing.T) {
 		t.Fatalf("bytesIn = %d, want 1MiB", u.BytesIn)
 	}
 	if e.Now() <= 0 {
-		t.Fatal("Exec did not advance the clock")
+		t.Fatal("ExecLane did not advance the clock")
 	}
 }
 
 func TestExecReadBillsTransferOut(t *testing.T) {
 	e := NewEnv(DefaultConfig())
-	e.Exec(OpS3Get, 4096)
+	e.ExecLane(OpS3Get, 4096, 0)
 	u := e.Meter().Usage()
 	if u.BytesOut != 4096 {
 		t.Fatalf("bytesOut = %d, want 4096", u.BytesOut)
